@@ -1,8 +1,11 @@
 //! Route-level statistics, matching the numbers quoted in section 4.7 of
 //! the paper (fraction of minimal paths, average distance, average number
-//! of in-transit buffers per route).
+//! of in-transit buffers per route), and a static deadlock-freedom check of
+//! a route table's channel dependencies.
 
-use regnet_topology::{DistanceMatrix, HostId, Topology};
+use std::collections::HashMap;
+
+use regnet_topology::{DistanceMatrix, HostId, Port, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::journey::SegmentEnd;
@@ -89,6 +92,104 @@ pub fn itb_host_load(topo: &Topology, db: &RouteDb) -> Vec<(HostId, usize)> {
     topo.hosts().map(|h| (h, load[h.idx()])).collect()
 }
 
+/// A switch-to-switch channel: output port `port` of switch `from`, whose
+/// link leads to switch `to`. Parallel links are distinct channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Channel {
+    pub from: SwitchId,
+    pub port: Port,
+    pub to: SwitchId,
+}
+
+impl std::fmt::Display for Channel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "S{}->S{}", self.from.0, self.to.0)
+    }
+}
+
+/// A cycle in the channel dependency graph of `db`, if it has one.
+///
+/// A route that holds channel `a` and then requests channel `b` makes `b`
+/// depend on `a`. Dependencies exist only between consecutive hops of one
+/// segment: an in-transit host ejects the packet completely, which frees
+/// every channel it held before it re-injects it. A table whose graph is
+/// acyclic cannot deadlock (Dally and Seitz); for up\*/down\* and ITB
+/// tables this follows from every segment being up\*/down\*-legal, but the
+/// check reads only the table's switches and ports, so it catches a bug in
+/// the orientation or the splitter as well.
+///
+/// The cycle is returned in dependency order: each channel is requested
+/// while the one before it is held, and the last one's successor is the
+/// first.
+pub fn channel_dependency_cycle(db: &RouteDb) -> Option<Vec<Channel>> {
+    let mut index: HashMap<(SwitchId, Port), u32> = HashMap::new();
+    let mut channels: Vec<Channel> = Vec::new();
+    let mut succ: Vec<Vec<u32>> = Vec::new();
+    for (_, _, alts) in db.iter_pairs() {
+        for seg in alts.iter().flat_map(|t| &t.segments) {
+            let mut held: Option<u32> = None;
+            for (i, w) in seg.switches.windows(2).enumerate() {
+                let c = Channel {
+                    from: w[0],
+                    port: seg.ports[i],
+                    to: w[1],
+                };
+                let id = *index.entry((c.from, c.port)).or_insert_with(|| {
+                    channels.push(c);
+                    succ.push(Vec::new());
+                    channels.len() as u32 - 1
+                });
+                if let Some(h) = held {
+                    if !succ[h as usize].contains(&id) {
+                        succ[h as usize].push(id);
+                    }
+                }
+                held = Some(id);
+            }
+        }
+    }
+
+    // Iterative depth-first search; a successor still on the stack closes
+    // a cycle.
+    const NEW: u8 = 0;
+    const ON_STACK: u8 = 1;
+    const DONE: u8 = 2;
+    let mut state = vec![NEW; channels.len()];
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    for root in 0..channels.len() as u32 {
+        if state[root as usize] != NEW {
+            continue;
+        }
+        state[root as usize] = ON_STACK;
+        stack.push((root, 0));
+        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+            let Some(&to) = succ[node as usize].get(*next) else {
+                state[node as usize] = DONE;
+                stack.pop();
+                continue;
+            };
+            *next += 1;
+            match state[to as usize] {
+                NEW => {
+                    state[to as usize] = ON_STACK;
+                    stack.push((to, 0));
+                }
+                ON_STACK => {
+                    let start = stack.iter().position(|&(c, _)| c == to).unwrap();
+                    return Some(
+                        stack[start..]
+                            .iter()
+                            .map(|&(c, _)| channels[c as usize])
+                            .collect(),
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +262,84 @@ mod tests {
             "cplant UP/DOWN minimal fraction {}",
             stats.minimal_fraction
         );
+    }
+
+    #[test]
+    fn built_tables_have_acyclic_channel_dependencies() {
+        for topo in [
+            gen::torus_2d(4, 4, 2).unwrap(),
+            gen::torus_2d_express(4, 4, 2).unwrap(),
+        ] {
+            for scheme in RoutingScheme::extended() {
+                let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
+                assert_eq!(channel_dependency_cycle(&db), None, "{scheme}");
+            }
+        }
+    }
+
+    #[test]
+    fn clockwise_ring_routes_have_a_dependency_cycle() {
+        use crate::{JourneyTemplate, Segment, SegmentEnd};
+
+        // Every route walks clockwise around a 4-ring: the dependencies
+        // s0->s1 => s1->s2 => s2->s3 => s3->s0 close a cycle. Splitting the
+        // same routes at s2 with an in-transit host breaks it.
+        let mut b = regnet_topology::TopologyBuilder::new("ring4", 4);
+        b.add_switches(4);
+        for i in 0..4u32 {
+            b.connect(SwitchId(i), SwitchId((i + 1) % 4)).unwrap();
+        }
+        b.attach_hosts_everywhere(1).unwrap();
+        let topo = b.build().unwrap();
+        let clockwise = |a: u32, b: u32| -> Vec<SwitchId> {
+            let hops = (b + 4 - a) % 4;
+            (0..=hops).map(|k| SwitchId((a + k) % 4)).collect()
+        };
+        let segment = |switches: Vec<SwitchId>, end: SegmentEnd| {
+            let ports = switches
+                .windows(2)
+                .map(|w| topo.port_to(w[0], w[1]).unwrap())
+                .collect();
+            Segment {
+                switches,
+                ports,
+                end,
+            }
+        };
+        let mut cyclic = Vec::new();
+        let mut split = Vec::new();
+        for a in 0..4u32 {
+            for b in 0..4u32 {
+                let path = clockwise(a, b);
+                cyclic.push(vec![JourneyTemplate {
+                    segments: vec![segment(path.clone(), SegmentEnd::Deliver)],
+                }]);
+                let at = path.iter().position(|&s| s == SwitchId(2));
+                let segments = match at {
+                    Some(i) if i > 0 && i + 1 < path.len() => {
+                        let itb = topo.hosts_of(SwitchId(2))[0];
+                        vec![
+                            segment(path[..=i].to_vec(), SegmentEnd::Itb(itb)),
+                            segment(path[i..].to_vec(), SegmentEnd::Deliver),
+                        ]
+                    }
+                    _ => vec![segment(path, SegmentEnd::Deliver)],
+                };
+                split.push(vec![JourneyTemplate { segments }]);
+            }
+        }
+        let n_hosts = topo.num_hosts();
+        let db = RouteDb::from_templates(RoutingScheme::UpDown, 4, n_hosts, cyclic);
+        let cycle = channel_dependency_cycle(&db).expect("clockwise routes are cyclic");
+        let mut named: Vec<String> = cycle.iter().map(|c| c.to_string()).collect();
+        named.sort();
+        assert_eq!(named, ["S0->S1", "S1->S2", "S2->S3", "S3->S0"]);
+        for (i, c) in cycle.iter().enumerate() {
+            assert_eq!(c.to, cycle[(i + 1) % cycle.len()].from, "{cycle:?}");
+        }
+
+        let db = RouteDb::from_templates(RoutingScheme::ItbRr, 4, n_hosts, split);
+        assert_eq!(channel_dependency_cycle(&db), None);
     }
 
     #[test]

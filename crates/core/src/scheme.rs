@@ -1,11 +1,21 @@
 //! Route databases for the three routing schemes evaluated in the paper.
 
-use regnet_routing::{minimal, simple_routes, SimpleRoutesConfig};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use regnet_routing::minimal::MinimalPathSampler;
+use regnet_routing::{simple_routes, PairPaths, SimpleRoutesConfig};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
-use crate::split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
+use crate::split::{split_minimal_path, split_switches, ItbHostPicker};
+
+/// ITB tables with at least this many ordered switch pairs are built on
+/// several threads. Smaller tables (the paper's 8×8 torus has 4 096 pairs,
+/// CPLANT 2 500) build in milliseconds, where spawning threads and giving
+/// each its own allocator arena cost more than they save.
+const PARALLEL_MIN_PAIRS: usize = 16_384;
 
 /// The routing schemes compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -170,7 +180,7 @@ impl PathSelector {
 ///
 /// Templates are stored per *switch* pair and materialised per *host* pair
 /// on demand (the only host-specific byte is the final port).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteDb {
     scheme: RoutingScheme,
     n_switches: usize,
@@ -180,13 +190,34 @@ pub struct RouteDb {
 
 impl RouteDb {
     /// Compute the routing tables for `scheme` over `topo`.
+    ///
+    /// The ITB tables are built one source switch (one row of the table) at
+    /// a time; large tables spread the rows over the machine's cores. The
+    /// result is the same, byte for byte, whatever the thread count.
     pub fn build(topo: &Topology, scheme: RoutingScheme, cfg: &RouteDbConfig) -> RouteDb {
+        let n = topo.num_switches();
+        let threads = if n * n >= PARALLEL_MIN_PAIRS {
+            std::thread::available_parallelism().map_or(1, |t| t.get())
+        } else {
+            1
+        };
+        RouteDb::build_on(topo, scheme, cfg, threads)
+    }
+
+    /// [`build`](RouteDb::build) with the ITB rows spread over `threads`
+    /// threads.
+    pub(crate) fn build_on(
+        topo: &Topology,
+        scheme: RoutingScheme,
+        cfg: &RouteDbConfig,
+        threads: usize,
+    ) -> RouteDb {
         let orient = Orientation::compute(topo, cfg.root);
         let n = topo.num_switches();
-        let mut templates: Vec<Vec<JourneyTemplate>> = Vec::with_capacity(n * n);
 
-        match scheme {
+        let templates = match scheme {
             RoutingScheme::UpDown => {
+                let mut templates = Vec::with_capacity(n * n);
                 let routes = simple_routes(topo, &orient, &cfg.simple);
                 for s in topo.switches() {
                     for d in topo.switches() {
@@ -201,41 +232,17 @@ impl RouteDb {
                         templates.push(vec![t]);
                     }
                 }
+                templates
             }
-            RoutingScheme::ItbSp | RoutingScheme::ItbRr | RoutingScheme::ItbRandom => {
-                let dm = DistanceMatrix::compute(topo);
-                // ITB-SP uses a single fixed path per pair, but we still
-                // sample the same alternative set and hash-pick one so the
-                // fixed choices are spread across the path space rather
-                // than biased to low switch ids.
-                let k = cfg.max_alternatives;
-                // Legal fallback routes, computed lazily: only needed when
-                // *every* minimal path of a pair requires an in-transit
-                // buffer at a hostless switch (possible on degraded or
-                // exotic topologies, never on the paper's).
-                let mut fallback: Option<regnet_routing::PairPaths> = None;
-                for s in topo.switches() {
-                    for d in topo.switches() {
-                        let paths = minimal::k_minimal_paths(topo, &dm, s, d, k, cfg.seed);
-                        let mut alts: Vec<JourneyTemplate> = paths
-                            .iter()
-                            .filter_map(|p| {
-                                try_split_minimal_path(topo, &orient, p, cfg.itb_picker)
-                            })
-                            .collect();
-                        if alts.is_empty() {
-                            let routes = fallback
-                                .get_or_insert_with(|| simple_routes(topo, &orient, &cfg.simple));
-                            let legal = routes.get(s, d);
-                            let t = split_minimal_path(topo, &orient, legal, cfg.itb_picker);
-                            debug_assert_eq!(t.num_itbs(), 0);
-                            alts.push(t);
-                        }
-                        templates.push(alts);
-                    }
-                }
+            RoutingScheme::ItbSp | RoutingScheme::ItbRr | RoutingScheme::ItbRandom => ItbRows {
+                topo,
+                orient: &orient,
+                cfg,
+                dm: DistanceMatrix::compute(topo),
+                fallback: OnceLock::new(),
             }
-        }
+            .build(threads),
+        };
 
         RouteDb {
             scheme,
@@ -390,6 +397,80 @@ impl RouteDb {
                 )
             })
         })
+    }
+}
+
+/// The read-only inputs of an ITB table build, shared by the threads that
+/// build its rows.
+struct ItbRows<'a> {
+    topo: &'a Topology,
+    orient: &'a Orientation,
+    cfg: &'a RouteDbConfig,
+    dm: DistanceMatrix,
+    /// Legal fallback routes, computed on first use: only needed when
+    /// *every* minimal path of a pair requires an in-transit buffer at a
+    /// hostless switch (possible on degraded or exotic topologies, never on
+    /// the paper's).
+    fallback: OnceLock<PairPaths>,
+}
+
+impl ItbRows<'_> {
+    /// Every row of the table, in source order, built on `threads` threads
+    /// that each take a contiguous block of sources.
+    fn build(&self, threads: usize) -> Vec<Vec<JourneyTemplate>> {
+        let n = self.topo.num_switches() as u32;
+        let threads = threads.clamp(1, n as usize) as u32;
+        if threads == 1 {
+            return self.rows(0..n);
+        }
+        let block = n.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..n)
+                .step_by(block as usize)
+                .map(|lo| scope.spawn(move || self.rows(lo..(lo + block).min(n))))
+                .collect();
+            let mut templates = Vec::with_capacity(n as usize * n as usize);
+            for worker in workers {
+                let mut rows = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                templates.append(&mut rows);
+            }
+            templates
+        })
+    }
+
+    /// The rows of the sources in `sources`: for each source switch, the
+    /// alternatives to every destination switch in order.
+    ///
+    /// ITB-SP uses a single fixed path per pair, but it still gets the same
+    /// alternative set and hash-picks one at selection time, so the fixed
+    /// choices are spread across the path space rather than biased to low
+    /// switch ids.
+    fn rows(&self, sources: Range<u32>) -> Vec<Vec<JourneyTemplate>> {
+        let (topo, cfg) = (self.topo, self.cfg);
+        let mut sampler = MinimalPathSampler::new(topo, &self.dm, cfg.max_alternatives, cfg.seed);
+        let mut rows = Vec::with_capacity(sources.len() * topo.num_switches());
+        for s in sources.map(SwitchId) {
+            sampler.set_source(s);
+            for d in topo.switches() {
+                let paths = sampler.sample(d);
+                let mut alts = Vec::with_capacity(paths.len());
+                alts.extend(
+                    paths.filter_map(|p| split_switches(topo, self.orient, p, cfg.itb_picker)),
+                );
+                if alts.is_empty() {
+                    let routes = self
+                        .fallback
+                        .get_or_init(|| simple_routes(topo, self.orient, &cfg.simple));
+                    let t = split_minimal_path(topo, self.orient, routes.get(s, d), cfg.itb_picker);
+                    debug_assert_eq!(t.num_itbs(), 0);
+                    alts.push(t);
+                }
+                rows.push(alts);
+            }
+        }
+        rows
     }
 }
 
@@ -585,6 +666,39 @@ mod tests {
         let j = db.select(&topo, src, dst, &mut sel);
         j.validate().unwrap();
         assert_eq!(j.total_links(), 4);
+    }
+
+    #[test]
+    fn table_is_the_same_for_any_thread_count() {
+        let topo = gen::torus_2d(16, 16, 4).unwrap();
+        let cfg = RouteDbConfig::default();
+        let one = RouteDb::build_on(&topo, RoutingScheme::ItbRr, &cfg, 1);
+        for threads in [2, 3] {
+            let many = RouteDb::build_on(&topo, RoutingScheme::ItbRr, &cfg, threads);
+            assert!(many == one, "{threads} threads built a different table");
+        }
+        assert!(RouteDb::build(&topo, RoutingScheme::ItbRr, &cfg) == one);
+    }
+
+    #[test]
+    fn fallback_rows_are_the_same_for_any_thread_count() {
+        // The ring's fallback pairs sit in different threads' rows; every
+        // thread must see the one shared set of legal routes.
+        let mut b = regnet_topology::TopologyBuilder::new("ring6-gap", 4);
+        b.add_switches(6);
+        for i in 0..6u32 {
+            b.connect(SwitchId(i), SwitchId((i + 1) % 6)).unwrap();
+        }
+        for i in [0u32, 1, 2, 4, 5] {
+            b.attach_host(SwitchId(i)).unwrap();
+        }
+        let topo = b.build().unwrap();
+        let cfg = RouteDbConfig::default();
+        let one = RouteDb::build_on(&topo, RoutingScheme::ItbRr, &cfg, 1);
+        for threads in [2, 3, 6, 7] {
+            let many = RouteDb::build_on(&topo, RoutingScheme::ItbRr, &cfg, threads);
+            assert!(many == one, "{threads} threads built a different table");
+        }
     }
 
     #[test]

@@ -72,51 +72,79 @@ pub fn try_split_minimal_path(
     path: &SwitchPath,
     picker: ItbHostPicker,
 ) -> Option<JourneyTemplate> {
-    let switches = path.switches();
-    let (src_sw, dst_sw) = (path.src(), path.dst());
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut seg_switches: Vec<SwitchId> = vec![switches[0]];
-    let mut seg_ports = Vec::new();
-    let mut seen_down = false;
-    let mut parallel_select = pair_key(src_sw, dst_sw) as usize;
+    split_switches(topo, orient, path.switches(), picker)
+}
 
-    for (hop_idx, (a, b)) in path.hops().enumerate() {
-        let up = orient.is_up_move(a, b);
-        if seen_down && up {
-            // Forbidden transition: eject at `a` into an in-transit host.
-            let key = pair_key(src_sw, dst_sw) ^ (hop_idx as u64) << 1;
-            let itb_host = picker.pick(topo, a, key)?;
+/// [`try_split_minimal_path`] over a bare switch sequence. Segments are
+/// sub-slices of the path, so each segment's vectors are allocated once, at
+/// their final size, and no hop allocates.
+pub(crate) fn split_switches(
+    topo: &Topology,
+    orient: &Orientation,
+    switches: &[SwitchId],
+    picker: ItbHostPicker,
+) -> Option<JourneyTemplate> {
+    let key = pair_key(switches[0], switches[switches.len() - 1]);
+    let forbidden = |hop: usize, seen_down: &mut bool| {
+        let up = orient.is_up_move(switches[hop], switches[hop + 1]);
+        let itb = *seen_down && up;
+        if itb {
+            *seen_down = false;
+        } else if !up {
+            *seen_down = true;
+        }
+        itb
+    };
+    let mut seen_down = false;
+    let n_itbs = (0..switches.len() - 1)
+        .filter(|&hop| forbidden(hop, &mut seen_down))
+        .count();
+
+    let mut segments: Vec<Segment> = Vec::with_capacity(n_itbs + 1);
+    // Port choices spread across parallel links deterministically: one
+    // selector, advanced once per hop over the whole path.
+    let mut parallel_select = key as usize;
+    let mut hop_ports = |seg: &[SwitchId], extra: usize| {
+        let mut ports = Vec::with_capacity(seg.len() - 1 + extra);
+        for w in seg.windows(2) {
+            let port = topo.parallel_port_to(w[0], w[1], parallel_select);
+            ports.push(port.unwrap_or_else(|| panic!("path not connected at {}->{}", w[0], w[1])));
+            parallel_select = parallel_select.wrapping_add(1);
+        }
+        ports
+    };
+    let mut start = 0;
+    let mut seen_down = false;
+    for hop in 0..switches.len() - 1 {
+        if forbidden(hop, &mut seen_down) {
+            // Forbidden transition: eject at `a` into an in-transit host,
+            // and start the next segment there (phase resets to "up").
+            let a = switches[hop];
+            let itb_host = picker.pick(topo, a, key ^ (hop as u64) << 1)?;
             debug_assert_eq!(topo.host_switch(itb_host), a);
-            seg_ports.push(topo.host_port(itb_host));
+            let seg = &switches[start..=hop];
+            let mut ports = hop_ports(seg, 1);
+            ports.push(topo.host_port(itb_host));
             segments.push(Segment {
-                switches: std::mem::take(&mut seg_switches),
-                ports: std::mem::take(&mut seg_ports),
+                switches: seg.to_vec(),
+                ports,
                 end: SegmentEnd::Itb(itb_host),
             });
-            seg_switches.push(a);
-            seen_down = false;
+            start = hop;
         }
-        if !up {
-            seen_down = true;
-        }
-        // Port from a to b (spread across parallel links deterministically).
-        let choices = topo.ports_to(a, b);
-        debug_assert!(!choices.is_empty(), "path not connected at {a}->{b}");
-        seg_ports.push(choices[parallel_select % choices.len()]);
-        parallel_select = parallel_select.wrapping_add(1);
-        seg_switches.push(b);
     }
 
     // Final segment: one port byte short (destination host port appended at
     // materialisation time).
+    let seg = &switches[start..];
     segments.push(Segment {
-        switches: seg_switches,
-        ports: seg_ports,
+        switches: seg.to_vec(),
+        ports: hop_ports(seg, 0),
         end: SegmentEnd::Deliver,
     });
 
     let t = JourneyTemplate { segments };
-    debug_assert_eq!(t.total_links(), path.len_links());
+    debug_assert_eq!(t.total_links(), switches.len() - 1);
     Some(t)
 }
 

@@ -2791,6 +2791,11 @@ mod tests {
             }
         }
         let db = RouteDb::from_templates(RoutingScheme::UpDown, n, topo.num_hosts(), templates);
+        // The static check names the same cycle before anything runs.
+        let static_cycle = regnet_core::analysis::channel_dependency_cycle(&db)
+            .expect("clockwise ring routes have a cyclic channel dependency");
+        assert_eq!(static_cycle.len(), 4, "{static_cycle:?}");
+        assert!(static_cycle.iter().any(|c| c.to_string() == "S0->S1"));
         let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
         let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.0001, 1);
         sim.stop_generation();

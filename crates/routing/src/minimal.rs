@@ -49,6 +49,10 @@ pub fn count_minimal_paths(
 /// no more likely than the DAG structure dictates). The result is
 /// deterministic for a given `seed`, sorted for stability, and contains the
 /// full set when fewer than `k` minimal paths exist.
+///
+/// This is one row of a [`MinimalPathSampler`] read for one destination;
+/// callers that need many destinations of one source should use the
+/// sampler directly.
 pub fn k_minimal_paths(
     topo: &Topology,
     dm: &DistanceMatrix,
@@ -57,56 +61,213 @@ pub fn k_minimal_paths(
     k: usize,
     seed: u64,
 ) -> Vec<SwitchPath> {
-    if k == 0 {
-        return Vec::new();
-    }
-    if src == dst {
-        return vec![SwitchPath::new(vec![src])];
-    }
-    let total = count_minimal_paths(topo, dm, src, dst);
-    let want = (total.min(k as u64)) as usize;
+    let mut sampler = MinimalPathSampler::new(topo, dm, k, seed);
+    sampler.set_source(src);
+    sampler
+        .sample(dst)
+        .map(|p| SwitchPath::new(p.to_vec()))
+        .collect()
+}
 
-    let mut found: Vec<Vec<SwitchId>> = Vec::with_capacity(want);
-    if total <= k as u64 * 4 {
-        // Few enough paths: enumerate exhaustively by DFS, then subsample.
-        let mut stack = vec![src];
-        dfs_all(topo, dm, dst, &mut stack, &mut found, k * 4);
-    } else {
-        // Sample by randomised walks until `want` distinct paths are found.
-        let mut rng = SmallRng::seed_from_u64(seed ^ ((src.0 as u64) << 32) ^ dst.0 as u64);
-        let mut tries = 0;
-        let max_tries = 200 * k;
-        while found.len() < want && tries < max_tries {
-            tries += 1;
-            let mut walk = vec![src];
-            let mut cur = src;
-            while cur != dst {
-                let dc = dm.get(cur, dst);
-                let nexts: Vec<SwitchId> = topo
-                    .switch_neighbors(cur)
-                    .filter(|&(_, t, _)| dm.get(t, dst) + 1 == dc)
-                    .map(|(_, t, _)| t)
-                    .collect();
-                cur = nexts[rng.gen_range(0..nexts.len())];
-                walk.push(cur);
-            }
-            if !found.contains(&walk) {
-                found.push(walk);
+/// Samples up to `k` minimal paths from one source switch to every
+/// destination, reusing its buffers from one destination (and one source)
+/// to the next.
+///
+/// [`set_source`](MinimalPathSampler::set_source) counts the minimal paths
+/// from the source to every switch in one pass over the source's BFS
+/// order. Minimal paths are symmetric, so these are the per-pair counts of
+/// [`count_minimal_paths`]. [`sample`](MinimalPathSampler::sample) then
+/// either enumerates a destination's paths exhaustively (at most `4k` of
+/// them) or draws seeded random walks until `k` distinct ones are found,
+/// exactly as [`k_minimal_paths`] documents.
+#[derive(Debug, Clone)]
+pub struct MinimalPathSampler<'a> {
+    dm: &'a DistanceMatrix,
+    k: usize,
+    seed: u64,
+    adj: Adjacency,
+    src: SwitchId,
+    /// Minimal paths from `src` to each switch (saturating).
+    counts: Vec<u64>,
+    /// BFS queue of the counting pass.
+    queue: Vec<SwitchId>,
+    /// Candidate next hops of one walk step.
+    nexts: Vec<SwitchId>,
+    /// The walk (or DFS stack) being built.
+    walk: Vec<SwitchId>,
+    /// Distinct next hops per DFS depth.
+    levels: Vec<Vec<SwitchId>>,
+    /// Paths found for the current destination, back to back and in
+    /// ascending order. All minimal paths of a pair have the same length,
+    /// so each takes `stride` slots.
+    found: Vec<SwitchId>,
+}
+
+impl<'a> MinimalPathSampler<'a> {
+    /// A sampler for up to `k` paths per pair, with walks seeded from
+    /// `seed` (and the pair).
+    pub fn new(
+        topo: &Topology,
+        dm: &'a DistanceMatrix,
+        k: usize,
+        seed: u64,
+    ) -> MinimalPathSampler<'a> {
+        let n = topo.num_switches();
+        MinimalPathSampler {
+            dm,
+            k,
+            seed,
+            adj: Adjacency::new(topo),
+            src: SwitchId(0),
+            counts: vec![0; n],
+            queue: Vec::with_capacity(n),
+            nexts: Vec::new(),
+            walk: Vec::new(),
+            levels: Vec::new(),
+            found: Vec::new(),
+        }
+    }
+
+    /// Make `src` the source of the following [`sample`] calls and count
+    /// its minimal paths to every switch.
+    ///
+    /// [`sample`]: MinimalPathSampler::sample
+    pub fn set_source(&mut self, src: SwitchId) {
+        self.src = src;
+        let dist = self.dm.row(src);
+        self.counts.fill(0);
+        self.counts[src.idx()] = 1;
+        self.queue.clear();
+        self.queue.push(src);
+        // FIFO order visits every switch at distance d before any at d + 1,
+        // so a switch's count is final before it feeds its successors.
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            for &t in self.adj.of(v) {
+                if dist[t.idx()] == dist[v.idx()] + 1 {
+                    if self.counts[t.idx()] == 0 {
+                        self.queue.push(t);
+                    }
+                    self.counts[t.idx()] =
+                        self.counts[t.idx()].saturating_add(self.counts[v.idx()]);
+                }
             }
         }
     }
-    found.sort_unstable();
-    found.dedup();
-    found.truncate(k);
-    found.into_iter().map(SwitchPath::new).collect()
+
+    /// Up to `k` distinct minimal paths from the current source to `dst`,
+    /// each as its switch sequence, in ascending order. The same paths
+    /// [`k_minimal_paths`] returns for the pair.
+    pub fn sample(&mut self, dst: SwitchId) -> std::slice::ChunksExact<'_, SwitchId> {
+        let (src, k) = (self.src, self.k);
+        self.found.clear();
+        if k == 0 {
+            return self.found.chunks_exact(1);
+        }
+        if src == dst {
+            self.found.push(src);
+            return self.found.chunks_exact(1);
+        }
+        let dist = self.dm.row(dst);
+        let stride = dist[src.idx()] as usize + 1;
+        let total = self.counts[dst.idx()];
+        if total <= k as u64 * 4 {
+            // Few enough paths: enumerate exhaustively by DFS. Next hops
+            // are visited in ascending order, so the paths come out sorted.
+            if self.levels.len() < stride {
+                self.levels.resize_with(stride, Vec::new);
+            }
+            self.walk.clear();
+            self.walk.push(src);
+            dfs_all(
+                &self.adj,
+                dist,
+                dst,
+                &mut self.walk,
+                &mut self.levels,
+                &mut self.found,
+                k * 4 * stride,
+            );
+            let n = (self.found.len() / stride).min(k);
+            return self.found[..n * stride].chunks_exact(stride);
+        }
+        // Sample by randomised walks until `k` distinct paths are found,
+        // inserting each new one at its sorted position.
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ ((src.0 as u64) << 32) ^ dst.0 as u64);
+        let max_tries = 200 * k;
+        let mut tries = 0;
+        while self.found.len() < k * stride && tries < max_tries {
+            tries += 1;
+            self.walk.clear();
+            self.walk.push(src);
+            let mut cur = src;
+            while cur != dst {
+                let dc = dist[cur.idx()];
+                self.nexts.clear();
+                self.nexts.extend(
+                    self.adj
+                        .of(cur)
+                        .iter()
+                        .copied()
+                        .filter(|t| dist[t.idx()] + 1 == dc),
+                );
+                cur = self.nexts[rng.gen_range(0..self.nexts.len())];
+                self.walk.push(cur);
+            }
+            let walk = &self.walk[..];
+            let at = stride
+                * self
+                    .found
+                    .chunks_exact(stride)
+                    .take_while(|p| *p < walk)
+                    .count();
+            if self.found.get(at..at + stride) != Some(walk) {
+                self.found.splice(at..at, walk.iter().copied());
+            }
+        }
+        self.found.chunks_exact(stride)
+    }
 }
 
+/// The switch graph as flat neighbour lists: one entry per link, in port
+/// order, so parallel links appear once each (as in
+/// [`Topology::switch_neighbors`]).
+#[derive(Debug, Clone)]
+struct Adjacency {
+    start: Vec<u32>,
+    links: Vec<SwitchId>,
+}
+
+impl Adjacency {
+    fn new(topo: &Topology) -> Adjacency {
+        let mut start = Vec::with_capacity(topo.num_switches() + 1);
+        let mut links = Vec::new();
+        start.push(0);
+        for s in topo.switches() {
+            links.extend(topo.switch_neighbors(s).map(|(_, t, _)| t));
+            start.push(links.len() as u32);
+        }
+        Adjacency { start, links }
+    }
+
+    #[inline]
+    fn of(&self, s: SwitchId) -> &[SwitchId] {
+        &self.links[self.start[s.idx()] as usize..self.start[s.idx() + 1] as usize]
+    }
+}
+
+/// Append every minimal path from the top of `stack` to `dst` to `out`
+/// (back to back), in ascending order, stopping once `out` holds `cap`
+/// switches. `levels[0]` is this depth's scratch list of next hops.
 fn dfs_all(
-    topo: &Topology,
-    dm: &DistanceMatrix,
+    adj: &Adjacency,
+    dist: &[u16],
     dst: SwitchId,
     stack: &mut Vec<SwitchId>,
-    out: &mut Vec<Vec<SwitchId>>,
+    levels: &mut [Vec<SwitchId>],
+    out: &mut Vec<SwitchId>,
     cap: usize,
 ) {
     if out.len() >= cap {
@@ -114,20 +275,23 @@ fn dfs_all(
     }
     let cur = *stack.last().unwrap();
     if cur == dst {
-        out.push(stack.clone());
+        out.extend_from_slice(stack);
         return;
     }
-    let dc = dm.get(cur, dst);
-    let mut nexts: Vec<SwitchId> = topo
-        .switch_neighbors(cur)
-        .filter(|&(_, t, _)| dm.get(t, dst) + 1 == dc)
-        .map(|(_, t, _)| t)
-        .collect();
+    let dc = dist[cur.idx()];
+    let (nexts, deeper) = levels.split_first_mut().expect("one level per hop");
+    nexts.clear();
+    nexts.extend(
+        adj.of(cur)
+            .iter()
+            .copied()
+            .filter(|t| dist[t.idx()] + 1 == dc),
+    );
     nexts.sort_unstable();
     nexts.dedup();
-    for t in nexts {
+    for &t in nexts.iter() {
         stack.push(t);
-        dfs_all(topo, dm, dst, stack, out, cap);
+        dfs_all(adj, dist, dst, stack, deeper, out, cap);
         stack.pop();
     }
 }
@@ -199,6 +363,70 @@ mod tests {
         let p = k_minimal_paths(&topo, &dm, SwitchId(2), SwitchId(2), 10, 0);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].len_links(), 0);
+    }
+
+    #[test]
+    fn per_source_counts_match_per_pair_counts() {
+        let mut b = regnet_topology::TopologyBuilder::new("dbl", 6);
+        b.add_switches(4);
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        b.connect(SwitchId(1), SwitchId(2)).unwrap();
+        b.connect(SwitchId(0), SwitchId(3)).unwrap();
+        b.connect(SwitchId(3), SwitchId(2)).unwrap();
+        b.attach_hosts_everywhere(1).unwrap();
+        let parallel_links = b.build().unwrap();
+        for topo in [
+            gen::torus_2d(6, 6, 1).unwrap(),
+            gen::torus_2d_express(6, 6, 1).unwrap(),
+            gen::cplant().unwrap(),
+            gen::irregular_random(20, 3, 1, 5).unwrap(),
+            parallel_links,
+        ] {
+            let dm = DistanceMatrix::compute(&topo);
+            let mut sampler = MinimalPathSampler::new(&topo, &dm, 10, 0);
+            for s in topo.switches() {
+                sampler.set_source(s);
+                for d in topo.switches() {
+                    assert_eq!(
+                        sampler.counts[d.idx()],
+                        count_minimal_paths(&topo, &dm, s, d),
+                        "{} {s}->{d}",
+                        topo.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_rows_match_single_pair_calls() {
+        // Reusing one sampler across sources and destinations must not
+        // leak state from one pair into the next.
+        let topo = gen::torus_2d_express(6, 6, 1).unwrap();
+        let dm = DistanceMatrix::compute(&topo);
+        let mut sampler = MinimalPathSampler::new(&topo, &dm, 3, 9);
+        for s in topo.switches() {
+            sampler.set_source(s);
+            for d in topo.switches() {
+                let row: Vec<Vec<SwitchId>> = sampler.sample(d).map(|p| p.to_vec()).collect();
+                let pair: Vec<Vec<SwitchId>> = k_minimal_paths(&topo, &dm, s, d, 3, 9)
+                    .into_iter()
+                    .map(|p| p.switches().to_vec())
+                    .collect();
+                assert_eq!(row, pair, "{s}->{d}");
+                assert!(!row.is_empty() && row.len() <= 3);
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_alternatives_yield_no_paths() {
+        let topo = gen::torus_2d(4, 4, 1).unwrap();
+        let dm = DistanceMatrix::compute(&topo);
+        assert!(k_minimal_paths(&topo, &dm, SwitchId(0), SwitchId(5), 0, 1).is_empty());
+        assert!(k_minimal_paths(&topo, &dm, SwitchId(5), SwitchId(5), 0, 1).is_empty());
     }
 
     #[test]

@@ -45,6 +45,13 @@ impl DistanceMatrix {
         self.dist[a.idx() * self.n + b.idx()]
     }
 
+    /// Distances from `a` to every switch, indexed by switch id. The matrix
+    /// is symmetric, so this is also every switch's distance *to* `a`.
+    #[inline]
+    pub fn row(&self, a: SwitchId) -> &[u16] {
+        &self.dist[a.idx() * self.n..(a.idx() + 1) * self.n]
+    }
+
     /// The network diameter (longest shortest path).
     pub fn diameter(&self) -> u16 {
         self.dist.iter().copied().max().unwrap_or(0)
@@ -95,6 +102,7 @@ mod tests {
         for a in topo.switches() {
             for b in topo.switches() {
                 assert_eq!(dm.get(a, b), dm.get(b, a));
+                assert_eq!(dm.row(b)[a.idx()], dm.get(a, b));
             }
         }
     }

@@ -197,6 +197,22 @@ impl Topology {
             .collect()
     }
 
+    /// Of the `k` ports on `from` whose link leads to `to`, the one at index
+    /// `select % k` (in port order), or `None` when the switches are not
+    /// adjacent. The same choice as `ports_to(from, to)[select % k]`,
+    /// without collecting the ports.
+    pub fn parallel_port_to(&self, from: SwitchId, to: SwitchId, select: usize) -> Option<Port> {
+        let ports = || {
+            self.switch_neighbors(from)
+                .filter(move |&(_, n, _)| n == to)
+                .map(|(p, _, _)| p)
+        };
+        match ports().count() {
+            0 => None,
+            k => ports().nth(select % k),
+        }
+    }
+
     /// First port on `from` leading to `to`, if adjacent.
     pub fn port_to(&self, from: SwitchId, to: SwitchId) -> Option<Port> {
         self.switch_neighbors(from)
@@ -385,6 +401,11 @@ mod tests {
         // Switch 1 connects to 0 first (port 0) then 2 (port 1), host on port 2.
         assert_eq!(t.port_to(SwitchId(1), SwitchId(0)), Some(Port(0)));
         assert_eq!(t.port_to(SwitchId(1), SwitchId(2)), Some(Port(1)));
+        assert_eq!(
+            t.parallel_port_to(SwitchId(1), SwitchId(2), 7),
+            Some(Port(1))
+        );
+        assert_eq!(t.parallel_port_to(SwitchId(0), SwitchId(2), 0), None);
         assert_eq!(t.host_port(HostId(1)), Port(2));
         assert_eq!(t.host_switch(HostId(1)), SwitchId(1));
     }
@@ -480,6 +501,13 @@ mod tests {
         let t = b.build().unwrap();
         assert_eq!(t.ports_to(SwitchId(0), SwitchId(1)).len(), 2);
         assert_eq!(t.num_switch_links(), 2);
+        let ports = t.ports_to(SwitchId(0), SwitchId(1));
+        for select in 0..5 {
+            assert_eq!(
+                t.parallel_port_to(SwitchId(0), SwitchId(1), select),
+                Some(ports[select % 2])
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use regnet::core::analysis::channel_dependency_cycle;
 use regnet::core::{split_minimal_path, ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
 use regnet::prelude::*;
 use regnet::routing::minimal;
@@ -90,6 +91,24 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The route tables of any topology, under every scheme and from any
+    /// root, have an acyclic channel dependency graph.
+    #[test]
+    fn route_db_channel_dependencies_are_acyclic(
+        topo in arb_topology(),
+        scheme_pick in 0u8..4,
+        root_pick in any::<u32>(),
+    ) {
+        let scheme = RoutingScheme::extended()[scheme_pick as usize];
+        let cfg = RouteDbConfig {
+            root: SwitchId(root_pick % topo.num_switches() as u32),
+            ..RouteDbConfig::default()
+        };
+        let db = RouteDb::build(&topo, scheme, &cfg);
+        let cycle = channel_dependency_cycle(&db);
+        prop_assert!(cycle.is_none(), "{} {}: cycle {:?}", topo.name(), scheme, cycle);
     }
 
     /// Route databases materialise valid journeys for every host pair on
